@@ -46,7 +46,7 @@ func runBarrierFlurry(n, iters int) error {
 	defer nw.Close()
 	layout := shm.NewLayout()
 	arr := layout.Alloc("mem", n*shm.PageWords)
-	sys := tmk.New(nw, nw, layout)
+	sys := tmk.New(nw, nw, layout, tmk.Options{})
 	return sys.Run(func(nd *tmk.Node) {
 		const words = 64
 		for it := 0; it < iters; it++ {

@@ -15,7 +15,7 @@
 // sim backend.
 //
 // -serve runs the DSM-as-a-service load experiment instead: it starts
-// an in-process coordinator with a warm pool, drives a mixed job load
+// an in-process coordinator with a local pool, drives a mixed job load
 // through the client API, and prints Table D (per-mix deterministic
 // columns plus service latency/throughput). -serve-jobs sizes the load,
 // -serve-json writes the machine-readable report, and -serve-p99-max
@@ -64,7 +64,7 @@ func main() {
 		srvListen = flag.Bool("serve-listen", false, "with -serve: skip the load run, print the coordinator address, and serve sdsm-client/sdsm-node -pool peers until interrupted")
 		srvJobs   = flag.Int("serve-jobs", 200, "total jobs for the -serve load run")
 		srvConc   = flag.Int("serve-conc", 8, "concurrent in-flight submissions for -serve")
-		srvSlots  = flag.Int("serve-slots", 8, "warm pool slots for the -serve coordinator")
+		srvSlots  = flag.Int("serve-slots", 8, "pool slots for the -serve coordinator")
 		srvJSON   = flag.String("serve-json", "", "write the -serve load report as JSON to this file")
 		srvP99    = flag.Duration("serve-p99-max", 0, "fail -serve if p99 job latency exceeds this bound (0 disables)")
 		procs     = flag.Int("procs", harness.DefaultProcs, "processor count")
@@ -141,7 +141,7 @@ func main() {
 	}
 
 	if *serve {
-		// The service experiment: a warm-pool coordinator, a mixed load
+		// The service experiment: a pooled coordinator, a mixed load
 		// (regular and irregular apps, protocol modes on and off, mixed rank
 		// counts), and Table D from the aggregate. The deterministic columns
 		// are golden-pinned in internal/svc; here the wall-clock half — p50,

@@ -11,10 +11,9 @@
 //	sdsm-node -network unix -addr /tmp/sdsm123/mp.sock -rank 2
 //
 // With -pool it instead becomes a long-lived DSM-as-a-service node
-// daemon (internal/svc): it attaches a warm pool of -slots rank slots
-// to a service coordinator and executes dispatched jobs until the
-// coordinator goes away, keeping page frames, arenas, and wire buffers
-// warm across jobs:
+// daemon (internal/svc): it attaches a pool of -slots rank slots to a
+// service coordinator and executes dispatched jobs, each on a freshly
+// built machine, until the coordinator goes away:
 //
 //	sdsm-node -pool -network unix -addr /tmp/sdsm456/switch.sock -slots 8
 package main
@@ -36,8 +35,8 @@ func main() {
 		addr    = flag.String("addr", "", "coordinator socket address")
 		rank    = flag.Int("rank", -1, "this worker's rank")
 		metrics = flag.String("metrics", "", "serve metrics snapshots on this address (e.g. 127.0.0.1:0; sets "+mpnet.MetricsEnv+")")
-		pool    = flag.Bool("pool", false, "run as a long-lived warm-pool daemon attached to a service coordinator")
-		slots   = flag.Int("slots", 8, "warm pool slots to offer in -pool mode")
+		pool    = flag.Bool("pool", false, "run as a long-lived pool daemon attached to a service coordinator")
+		slots   = flag.Int("slots", 8, "pool slots to offer in -pool mode")
 	)
 	flag.Parse()
 	if *pool {

@@ -1,5 +1,6 @@
 // Command sdsm-run executes one application on one system configuration
-// and prints execution time, speedup, and protocol statistics:
+// and prints virtual execution time, speedup, the run's wall time, and
+// protocol statistics:
 //
 //	sdsm-run -app jacobi -system opt-tmk -set large -procs 8
 //	sdsm-run -app is -system tmk -set small -procs 4 -verify
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
@@ -79,7 +81,9 @@ func main() {
 	if *failAt >= 0 {
 		cfg.Fault = &harness.FaultPlan{Rank: *failAt, Epoch: *failEp, AfterFrames: *failAfr}
 	}
+	start := time.Now()
 	res, err := harness.Run(cfg)
+	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdsm-run:", err)
 		os.Exit(1)
@@ -102,6 +106,7 @@ func main() {
 	}
 	fmt.Printf("system:        %s on %d processors (%s backend)\n", *system, *procs, shownBackend)
 	fmt.Printf("time:          %v (uniprocessor %v, speedup %.2f)\n", res.Time, uni, harness.Speedup(uni, res.Time))
+	fmt.Printf("wall:          %v\n", wall.Round(time.Microsecond))
 	// One unified metrics dump replaces the former per-subsystem stat
 	// lines: every counter of the run — traffic, vm, protocol, adaptive,
 	// recovery, and (when traced) the registry's histograms and backend

@@ -28,7 +28,7 @@ func main() {
 		nw := cluster.New(e, model.SP2())
 		layout := shm.NewLayout()
 		arr := layout.Alloc("counters", 8*shm.PageWords)
-		sys := tmk.New(e, nw, layout)
+		sys := tmk.New(e, nw, layout, tmk.Options{})
 
 		err := sys.Run(func(nd *tmk.Node) {
 			mine := shm.Region{Lo: nd.ID * 2 * shm.PageWords, Hi: (nd.ID + 1) * 2 * shm.PageWords}

@@ -95,7 +95,7 @@ type Config struct {
 	// hand-off edge, one grant withholds the piggyback to detect
 	// consumers that stopped reading.
 	AdaptM int
-	// Scale enables the large-machine protocol mode (tmk.EnableScale):
+	// Scale enables the large-machine protocol mode (tmk.Options.Scale):
 	// the distributed per-page ownership directory spreads diff serving
 	// across readers instead of queueing on the last writer, and the
 	// barrier fetch-list relay is priced span-compressed and
@@ -133,15 +133,6 @@ type Config struct {
 	// obs.DefaultRingCap). Older events beyond the capacity are dropped
 	// oldest-first and counted.
 	TraceCap int
-	// Arenas, when non-nil, backs rank i's node memory with warm pool
-	// storage Arenas[i] (the DSM-as-a-service path, internal/svc). The
-	// run borrows the storage, audits the arena guard words after the
-	// program finishes — a violation is a hard error, it means the job
-	// scribbled outside its address space — and releases everything back
-	// for the slot's next job. Arena-backed runs are bit-identical to
-	// fresh ones (vm.NewWarm). DSM systems only; ignored for
-	// message-passing systems, whose ranks are separate processes.
-	Arenas []*vm.Arena
 }
 
 // FaultPlan describes one injected failure (see Config.Fault).
@@ -255,29 +246,23 @@ func runDSM(cfg Config) (*Result, error) {
 		h = e
 		nw = cluster.New(h, cfg.Costs)
 	}
-	sys := tmk.NewWarm(h, nw, layout, cfg.Arenas)
+	opts := tmk.Options{Scale: cfg.Scale, Trace: m}
 	if cfg.Adapt {
-		sys.EnableAdapt(adapt.Config{K: cfg.AdaptK, ReprobeM: cfg.AdaptM})
-	}
-	if cfg.Scale {
-		sys.EnableScale()
+		opts.Adapt = &adapt.Config{K: cfg.AdaptK, ReprobeM: cfg.AdaptM}
 	}
 	if cfg.Recover || cfg.Fault != nil {
-		rc := tmk.RecoveryConfig{Every: cfg.CheckpointEvery}
+		opts.Recovery = &tmk.RecoveryConfig{Every: cfg.CheckpointEvery}
 		if cfg.CheckpointDir != "" {
-			rc.Sink = &tmk.FileSink{Dir: cfg.CheckpointDir}
+			opts.Recovery.Sink = &tmk.FileSink{Dir: cfg.CheckpointDir}
 		}
 		if f := cfg.Fault; f != nil {
-			rc.Fault = &tmk.Fault{Rank: f.Rank, Epoch: f.Epoch}
+			opts.Recovery.Fault = &tmk.Fault{Rank: f.Rank, Epoch: f.Epoch}
 		}
-		sys.EnableRecovery(rc)
 		if n, ok := nw.(*host.Net); ok {
 			n.EnableRecovery()
 		}
 	}
-	if m != nil {
-		sys.EnableTrace(m)
-	}
+	sys := tmk.New(h, nw, layout, opts)
 
 	var checksum float64
 	var epilogue []func(nd *tmk.Node)
@@ -304,21 +289,6 @@ func runDSM(cfg Config) (*Result, error) {
 	st := nw.Stats()
 	vmc, ps := sys.Stats()
 	smax, smean := sys.ServeBalance()
-	if cfg.Arenas != nil {
-		// Guard audit before release: release ends the loans the audit
-		// inspects. A violation means this job overran its own address
-		// space — in a shared pool that is a cross-job hazard, so it fails
-		// the job loudly instead of poisoning the next tenant.
-		for i, ar := range cfg.Arenas {
-			if ar == nil {
-				continue
-			}
-			if err := ar.CheckGuards(); err != nil {
-				return nil, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, err)
-			}
-		}
-		sys.ReleaseWarm()
-	}
 	var rs tmk.RecoveryStats
 	for _, nd := range sys.Nodes {
 		rs.Checkpoints += nd.RecStats.Checkpoints

@@ -599,7 +599,7 @@ func Micro() (*MicroResult, error) {
 		nw := cluster.New(e, costs)
 		layout := shm.NewLayout()
 		layout.Alloc("x", shm.PageWords)
-		sys := tmk.New(e, nw, layout)
+		sys := tmk.New(e, nw, layout, tmk.Options{})
 		err := sys.Run(func(nd *tmk.Node) {
 			if nd.ID == 0 {
 				start := nd.Proc().Now()
@@ -618,7 +618,7 @@ func Micro() (*MicroResult, error) {
 		nw := cluster.New(e, costs)
 		layout := shm.NewLayout()
 		layout.Alloc("x", shm.PageWords)
-		sys := tmk.New(e, nw, layout)
+		sys := tmk.New(e, nw, layout, tmk.Options{})
 		err := sys.Run(func(nd *tmk.Node) {
 			start := nd.Proc().Now()
 			nd.Barrier(1)

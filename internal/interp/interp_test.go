@@ -147,7 +147,7 @@ func TestDSMMatchesSeqForSPMDSum(t *testing.T) {
 	layout := compiler.BuildLayout(prog, params)
 	e := sim.NewEngine(4)
 	nw := cluster.New(e, model.SP2())
-	sys := tmk.New(e, nw, layout)
+	sys := tmk.New(e, nw, layout, tmk.Options{})
 	var got []float64
 	err := RunDSM(prog, sys, params, func(nd *tmk.Node) {
 		if nd.ID != 0 {

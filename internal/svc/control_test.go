@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -133,6 +134,65 @@ func TestQueueFullRejected(t *testing.T) {
 	j1.Wait()
 }
 
+// TestDaemonGarbageFailsJob pins daemon-death reporting: a daemon that
+// takes a job and then sends bytes that do not decode as a frame fails
+// that job with the decode error as its reason — the client learns why,
+// not just that — and the coordinator's local pool keeps serving.
+func TestDaemonGarbageFailsJob(t *testing.T) {
+	co, cl := startService(t, Config{Slots: 1})
+	network, addr := co.Addr()
+	dc, err := net.Dial(network, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	if err := wire.WriteFrame(dc, &wire.Frame{Kind: wire.FPoolHello, Tag: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The fake daemon: take one dispatch, answer with a length-prefixed
+	// body whose version byte is wrong.
+	garbage := []byte{30, 0, 0, 0}
+	for i := 0; i < 30; i++ {
+		garbage = append(garbage, 0xEE)
+	}
+	daemonErr := make(chan error, 1)
+	go func() {
+		f, err := wire.ReadFrame(dc)
+		if err == nil && f.Kind != wire.FJob {
+			err = fmt.Errorf("fake daemon got frame kind %d, want FJob", f.Kind)
+		}
+		if err == nil {
+			_, err = dc.Write(garbage)
+		}
+		daemonErr <- err
+	}()
+
+	// The local worker and the daemon's forwarder both pull from the
+	// queue; submit until a job lands on the daemon and fails.
+	spec := wire.JobSpec{App: "jacobi", Set: "small", Procs: 1, Verify: true}
+	deadline := time.Now().Add(30 * time.Second)
+	var res wire.JobResult
+	for {
+		res, err = cl.Do(spec)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if res.Err != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no job reached the fake daemon")
+		}
+	}
+	if err := <-daemonErr; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Err, "pool daemon died") || !strings.Contains(res.Err, "wire: version 238") {
+		t.Errorf("job error %q does not name the daemon's death and its cause", res.Err)
+	}
+	mustDo(t, cl, spec)
+}
+
 // TestPoolDaemonE2E runs jobs through a real daemon: coordinator with
 // no local pool, RunPoolDaemon attached over the wire, results
 // bit-identical to local-pool runs of the same specs.
@@ -180,13 +240,13 @@ func TestPoolDaemonE2E(t *testing.T) {
 			res.Checksum, res.VirtualNS, ref.Checksum, ref.VirtualNS)
 	}
 
-	// Back-to-back on the daemon's warm pool: still bit-identical.
+	// Back-to-back on the daemon's pool: still bit-identical.
 	res2, err := cl.Do(spec)
 	if err != nil || res2.Err != "" {
 		t.Fatalf("daemon reuse job: %v %s", err, res2.Err)
 	}
 	if res2.Checksum != ref.Checksum || res2.VirtualNS != ref.VirtualNS {
-		t.Errorf("daemon warm rerun (%v, %d) != reference (%v, %d)",
+		t.Errorf("daemon rerun (%v, %d) != reference (%v, %d)",
 			res2.Checksum, res2.VirtualNS, ref.Checksum, ref.VirtualNS)
 	}
 

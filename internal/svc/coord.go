@@ -1,9 +1,7 @@
 package svc
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -20,7 +18,7 @@ const DefaultQueueCap = 64
 
 // Config shapes one coordinator.
 type Config struct {
-	// Slots is the local warm pool size; 0 runs a pure control plane
+	// Slots is the local pool size; 0 runs a pure control plane
 	// that only dispatches to attached daemons.
 	Slots int
 	// QueueCap bounds the pending-job queue (0 = DefaultQueueCap).
@@ -68,7 +66,7 @@ func (cl *clientConn) send(f *wire.Frame) {
 
 // Coordinator is the multi-job control plane: it owns the bounded job
 // queue, admits or rejects submissions, and dispatches accepted jobs to
-// the local warm pool and any attached pool daemons.
+// the local pool and any attached pool daemons.
 type Coordinator struct {
 	pool   *Pool
 	ln     net.Listener
@@ -122,10 +120,6 @@ func Start(cfg Config) (*Coordinator, error) {
 func (co *Coordinator) Addr() (network, addr string) {
 	return co.ln.Addr().Network(), co.ln.Addr().String()
 }
-
-// LocalPool exposes the coordinator's warm pool (nil when Slots was 0),
-// for tests that inspect or poison warm slot state.
-func (co *Coordinator) LocalPool() *Pool { return co.pool }
 
 // Snapshot copies the service counters.
 func (co *Coordinator) Snapshot() StatsSnapshot {
@@ -279,7 +273,7 @@ func (co *Coordinator) finish(j *job, res wire.JobResult) {
 	j.cl.send(&wire.Frame{Kind: wire.FJobResult, Tag: j.tag, Payload: res})
 }
 
-// localWorker drains the queue onto the local warm pool. One worker per
+// localWorker drains the queue onto the local pool. One worker per
 // slot: at most Slots jobs run concurrently, and slot acquisition
 // inside Pool.Run enforces the per-rank exclusivity below that.
 func (co *Coordinator) localWorker() {
@@ -312,6 +306,7 @@ func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
 	var pmu sync.Mutex
 	pending := map[int64]chan wire.JobResult{}
 	readerGone := make(chan struct{})
+	var readErr error // why the reader stopped; written before readerGone closes
 
 	var fwg sync.WaitGroup
 	for i := 0; i < slots; i++ {
@@ -335,7 +330,7 @@ func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
 				err := wire.WriteFrame(c, &wire.Frame{Kind: wire.FJob, Payload: j.spec})
 				wmu.Unlock()
 				if err != nil {
-					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: "svc: pool daemon unreachable"})
+					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: fmt.Sprintf("svc: pool daemon unreachable: %v", err)})
 					return
 				}
 				j.cl.send(&wire.Frame{Kind: wire.FJobState, Tag: j.tag,
@@ -344,7 +339,7 @@ func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
 				case res := <-done:
 					co.finish(j, res)
 				case <-readerGone:
-					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: "svc: pool daemon died"})
+					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: fmt.Sprintf("svc: pool daemon died: %v", readErr)})
 					return
 				}
 				pmu.Lock()
@@ -356,12 +351,10 @@ func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
 	for {
 		f, err := wire.ReadFrame(c)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !co.isClosed() {
-				// Daemon death mid-run: forwarders holding jobs fail them
-				// via readerGone; queued jobs stay queued for other
-				// executors. The pool survives its daemons.
-				_ = err
-			}
+			// Daemon death: forwarders holding jobs fail them with this
+			// cause via readerGone; queued jobs stay queued for other
+			// executors. The pool survives its daemons.
+			readErr = err
 			close(readerGone)
 			fwg.Wait()
 			return
@@ -377,10 +370,4 @@ func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
 			done <- res
 		}
 	}
-}
-
-func (co *Coordinator) isClosed() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.closed
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // RunPoolDaemon is the body of `sdsm-node -pool`: a long-lived node
-// daemon that attaches a warm pool of the given slot count to a
-// coordinator and executes the jobs dispatched to it until the
-// connection closes or stop fires. The pool — its arenas and everything
-// warm in them — survives every job; only daemon death discards it.
+// daemon that attaches a pool of the given slot count to a coordinator
+// and executes the jobs dispatched to it until the connection closes or
+// stop fires. Each job builds its machine fresh; the daemon outlives
+// every job, and only its own death drops the attachment.
 //
 // The attach handshake is one FPoolHello frame with the slot count in
 // Tag. After it, traffic is FJob in (spec with ID assigned) and

@@ -12,7 +12,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the Table D golden")
 
 // TestTableDGolden pins Table D's deterministic columns: a fixed load
-// mix through the warm pool must aggregate to byte-identical job
+// mix through the pool must aggregate to byte-identical job
 // counts, checksums, and virtual times on every machine and every pool
 // topology (wall-clock latency is reported by FormatTableD but never
 // pinned). The mix doubles as a miniature of the CI load smoke: mixed

@@ -9,14 +9,11 @@ import (
 )
 
 // TestCrossJobIsolation interleaves many concurrent jobs of different
-// shapes — different apps, rank counts, protocol modes — over one warm
-// pool and demands every result match its solo run bit for bit. The
-// per-job canary guard words in the arenas turn any cross-job memory
-// bleed into a loud job failure (harness audits them after every run),
-// and the checksum/virtual-time comparison catches logical bleed the
-// guards cannot see. Run under -race in CI, this is also the service
-// layer's race workout: slots are handed between concurrent jobs
-// constantly.
+// shapes — different apps, rank counts, protocol modes — over one pool
+// and demands every result match its solo run bit for bit: the
+// checksum/virtual-time comparison catches any state one job leaks into
+// another. Run under -race in CI, this is also the service layer's race
+// workout: slots are handed between concurrent jobs constantly.
 func TestCrossJobIsolation(t *testing.T) {
 	mix := []wire.JobSpec{
 		{App: "jacobi", Set: "small", Procs: 4, Verify: true},

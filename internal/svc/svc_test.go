@@ -9,7 +9,7 @@ import (
 	"sdsm/internal/wire"
 )
 
-// startService spins up a coordinator with a local warm pool and a
+// startService spins up a coordinator with a local pool and a
 // client connected to it, torn down with the test.
 func startService(t *testing.T, cfg Config) (*Coordinator, *Client) {
 	t.Helper()
@@ -67,13 +67,12 @@ func checkBitIdentical(t *testing.T, label string, got wire.JobResult, want *har
 }
 
 // TestPoolVsFreshEquivalence runs every registry application through
-// the warm pool and demands the same answers a throwaway machine gives:
-// on the sim backend, bit-identical checksums, protocol stats, and
-// virtual times; through a one-shot `-backend=net` run, identical
-// checksums (net scheduling makes stats and times wall-dependent, the
-// same split TestBackendEquivalence draws). The pool is shared across
-// the whole sweep, so each app also inherits the previous apps' warm
-// state — reuse under changing layouts is part of the claim.
+// the pool and demands the same answers a one-shot run gives: on the
+// sim backend, bit-identical checksums, protocol stats, and virtual
+// times; through a one-shot `-backend=net` run, identical checksums (net
+// scheduling makes stats and times wall-dependent, the same split
+// TestBackendEquivalence draws). The pool is shared across the whole
+// sweep, so each app runs on slots the previous apps just used.
 func TestPoolVsFreshEquivalence(t *testing.T) {
 	_, cl := startService(t, Config{Slots: 4})
 	for _, a := range apps.Registry() {
@@ -98,13 +97,12 @@ func TestPoolVsFreshEquivalence(t *testing.T) {
 }
 
 // TestPoolReuseResets is the back-to-back case: the same job run twice
-// on the same warm slots must produce bit-identical results — arena,
-// detector, and directory state fully reset between jobs — and the
-// second run must actually reuse warm storage, not quietly reallocate.
-// Adaptive and scale modes ride along: their detectors and directory
-// arrays are exactly the state that would leak if reset were partial.
+// on the same slots must produce bit-identical results — no detector,
+// directory, or memory state survives a job. Adaptive and scale modes
+// ride along: their detectors and directory arrays are exactly the state
+// that would leak if a machine were not built fresh.
 func TestPoolReuseResets(t *testing.T) {
-	co, cl := startService(t, Config{Slots: 4})
+	_, cl := startService(t, Config{Slots: 4})
 	specs := []wire.JobSpec{
 		{App: "jacobi", Set: "small", Procs: 4, Verify: true},
 		{App: "jacobi", Set: "bound", Procs: 4, Verify: true, Adapt: true},
@@ -123,58 +121,18 @@ func TestPoolReuseResets(t *testing.T) {
 		checkBitIdentical(t, label+"/first", mustDo(t, cl, spec), fresh)
 		checkBitIdentical(t, label+"/reused", mustDo(t, cl, spec), fresh)
 	}
-	// Warm inventory must exist after the jobs released their storage:
-	// at least the data stores are back in the arenas' idle lists.
-	warm := 0
-	pool := co.LocalPool()
-	for i := 0; i < pool.Slots(); i++ {
-		data, pages, ints := pool.Arena(i).Idle()
-		warm += data + pages + ints
-		if loans := pool.Arena(i).Loans(); loans != 0 {
-			t.Errorf("slot %d: %d data loans still outstanding after all jobs finished", i, loans)
-		}
-	}
-	if warm == 0 {
-		t.Fatal("no warm storage in any arena after the jobs — the pool is not actually reusing memory")
-	}
 }
 
-// TestWarmDirectoryRankSubset pins the rank-subset fix: a pool job
-// using fewer ranks than the previous tenant must not inherit stale
-// owner hints. An 8-rank scale job seeds the slots' directory arrays
-// with owners up to 7; the arrays are then additionally poisoned with
-// an absurd rank so any missed re-initialization routes a fetch off the
-// machine (a panic or a wrong result, not a quiet pass). A following
-// 4-rank scale job must be bit-identical to a fresh 4-rank run.
+// TestWarmDirectoryRankSubset pins the rank-subset case: a pool job
+// using fewer ranks than the previous one on the same slots must not
+// inherit its owner hints. An 8-rank scale job leaves directories whose
+// hints name ranks up to 7; a following 4-rank scale job must be
+// bit-identical to a fresh 4-rank run, never routing a fetch to a rank
+// it does not have.
 func TestWarmDirectoryRankSubset(t *testing.T) {
-	co, cl := startService(t, Config{Slots: 8})
+	_, cl := startService(t, Config{Slots: 8})
 	wide := wire.JobSpec{App: "spmv", Set: "small", Procs: 8, Verify: true, Scale: true}
 	mustDo(t, cl, wide)
-
-	// Poison every arena's idle int32 arrays with an out-of-range rank,
-	// simulating a much wider previous tenant. TakeInt32 hands these
-	// back raw; only EnableScale's mandatory -1 sweep stands between
-	// this value and the fetch router.
-	pool := co.LocalPool()
-	for i := 0; i < pool.Slots(); i++ {
-		ar := pool.Arena(i)
-		var taken [][]int32
-		for {
-			_, _, ints := ar.Idle()
-			if ints == 0 {
-				break
-			}
-			s := ar.TakeInt32(1)
-			s = s[:cap(s)]
-			for k := range s {
-				s[k] = 113 // rank 113 of a 4-rank machine
-			}
-			taken = append(taken, s)
-		}
-		for _, s := range taken {
-			ar.RecycleInt32(s)
-		}
-	}
 
 	narrow := wire.JobSpec{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true}
 	cfg, err := JobConfig(narrow)

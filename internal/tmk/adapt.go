@@ -22,23 +22,22 @@ type adaptNode struct {
 	fetched map[int]bool // pages demand-fetched since the last barrier departure
 }
 
-// EnableAdapt switches the machine to the adaptive update protocol: the
-// run-time profiles the fault/fetch traffic per barrier epoch, infers
-// stable producer→consumer page patterns, and pushes promoted pages'
-// diffs at barrier departure instead of letting consumers fault — at
-// section granularity: bound pages cluster into contiguous sections, one
-// run-length-encoded diff span per (consumer, section), and falsely
-// shared two-writer pages carry sub-page split bindings (DESIGN.md §8).
-// It also arms the lock-scope detectors: each lock's hand-off history
-// drives a per-lock adapt.LockDetector whose bound edges piggyback the
-// predicted critical-section working set on the grant (see lockGrant in
-// sync.go). Must be called after New and before Run.
-func (s *System) EnableAdapt(cfg adapt.Config) {
-	s.adaptCfg = cfg
-	for _, nd := range s.Nodes {
-		nd.ad = &adaptNode{det: adapt.New(cfg), fetched: map[int]bool{}}
-		nd.ad.det.LogTrans = s.trace != nil
-	}
+// newAdaptNode builds one node's adaptive protocol state (Options.Adapt).
+// The adaptive protocol profiles the fault/fetch traffic per barrier
+// epoch, infers stable producer→consumer page patterns, and pushes
+// promoted pages' diffs at barrier departure instead of letting consumers
+// fault — at section granularity: bound pages cluster into contiguous
+// sections, one run-length-encoded diff span per (consumer, section), and
+// falsely shared two-writer pages carry sub-page split bindings
+// (DESIGN.md §8). The same mode arms the lock-scope detectors: each
+// lock's hand-off history drives a per-lock adapt.LockDetector whose
+// bound edges piggyback the predicted critical-section working set on
+// the grant (see lockGrant in sync.go). logTrans keeps the detector's
+// transition log for the tracer.
+func newAdaptNode(cfg adapt.Config, logTrans bool) *adaptNode {
+	det := adapt.New(cfg)
+	det.LogTrans = logTrans
+	return &adaptNode{det: det, fetched: map[int]bool{}}
 }
 
 // adaptOn reports whether the machine runs the adaptive protocol.

@@ -12,7 +12,7 @@ import (
 // requester asks the noticed owners, so a page written by one node and
 // read by many turns its writer into a serve hot spot — at 64 or 128
 // nodes the writer answers one request per reader per epoch while
-// everyone else answers none. Scale mode (EnableScale) adds an IVY-style
+// everyone else answers none. Scale mode (Options.Scale) adds an IVY-style
 // dynamic manager per page, adapted to this protocol's "anyone who
 // applied the chain can serve it" property:
 //
@@ -50,34 +50,20 @@ import (
 // invariant four). Memory content never depends on the directory at all;
 // routing only picks who serves an identical chain.
 
-// EnableScale switches the machine to scale mode: the per-page ownership
-// directory above, plus span-compressed, broadcast-once accounting for
-// the barrier fetch-list relay (see relayFetchedBytes and runBarrier).
-// Must be called after New and before Run. Off, the protocol and its
+// initDirectory gives a node its empty ownership directory. Scale mode
+// (Options.Scale) is the directory above plus span-compressed,
+// broadcast-once accounting for the barrier fetch-list relay (see
+// relayFetchedBytes and runBarrier). Off, the protocol and its
 // accounting are bit-identical to a machine without the directory — the
-// paper tables and the adapt goldens pin that.
-func (s *System) EnableScale() {
-	s.scale = true
-	for _, nd := range s.Nodes {
-		pages := nd.Mem.Pages()
-		if ar := nd.Mem.Arena(); ar != nil {
-			// Warm pool slot: the arrays are recycled from whatever job ran
-			// here last, contents unspecified (vm.Arena.TakeInt32). The -1
-			// sweep below is therefore load-bearing, not belt-and-braces:
-			// a previous job may have run with MORE ranks than this one,
-			// and a stale hint naming rank >= N would route a fetch off
-			// the machine. The rank-subset regression test poisons these
-			// arrays to pin the sweep.
-			nd.dirOwner = ar.TakeInt32(pages)
-			nd.dirNext = ar.TakeInt32(pages)
-		} else {
-			nd.dirOwner = make([]int32, pages)
-			nd.dirNext = make([]int32, pages)
-		}
-		for pg := 0; pg < pages; pg++ {
-			nd.dirOwner[pg] = -1
-			nd.dirNext[pg] = -1
-		}
+// paper tables and the adapt goldens pin that. Both arrays start at -1
+// (no hint, no delegation), not 0: 0 is a valid rank.
+func (nd *Node) initDirectory() {
+	pages := nd.Mem.Pages()
+	nd.dirOwner = make([]int32, pages)
+	nd.dirNext = make([]int32, pages)
+	for pg := 0; pg < pages; pg++ {
+		nd.dirOwner[pg] = -1
+		nd.dirNext[pg] = -1
 	}
 }
 
@@ -139,10 +125,9 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 				continue
 			}
 			if owner < 0 || owner >= nd.sys.N() {
-				// A hint naming a rank outside this job's set — possible
-				// only from stale directory state (a warm slot's previous
-				// job ran wider) — must not become a request to a rank
-				// that does not exist. Leave the page to the Direct
+				// Redirect lists are wire input: a hint naming a rank
+				// outside this machine must not become a request to a
+				// rank that does not exist. Leave the page to the Direct
 				// fallback, which asks the noticed owner.
 				nd.Stats.DirFallbacks++
 				continue

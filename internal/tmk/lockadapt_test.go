@@ -18,10 +18,11 @@ func migratoryRotation(t *testing.T, adaptOn bool, iters int) *System {
 	t.Helper()
 	const n = 3
 	const words = 8
-	s := testSystem(n, shm.PageWords)
+	var opts Options
 	if adaptOn {
-		s.EnableAdapt(adapt.Config{K: 2})
+		opts.Adapt = &adapt.Config{K: 2}
 	}
+	s := testSystemOpts(n, shm.PageWords, opts)
 	run(t, s, func(nd *Node) {
 		for it := 0; it < iters; it++ {
 			nd.Acquire(5)
@@ -82,8 +83,7 @@ func TestLockAdaptDecayOnOutsideWriter(t *testing.T) {
 	const n = 3
 	const words = 8
 	const iters = 14
-	s := testSystem(n, 2*shm.PageWords)
-	s.EnableAdapt(adapt.Config{K: 2})
+	s := testSystemOpts(n, 2*shm.PageWords, Options{Adapt: &adapt.Config{K: 2}})
 	run(t, s, func(nd *Node) {
 		for it := 0; it < iters; it++ {
 			nd.Acquire(5)
@@ -154,8 +154,7 @@ func TestNetStaggeredLockChainsAdapt(t *testing.T) {
 		}
 		layout := shm.NewLayout()
 		layout.Alloc("mem", total)
-		s := New(nw, nw, layout)
-		s.EnableAdapt(adapt.Config{K: 2})
+		s := New(nw, nw, layout, Options{Adapt: &adapt.Config{K: 2}})
 		err = s.Run(func(nd *Node) {
 			for it := 0; it < iters; it++ {
 				lo := nd.ID * sectionWords

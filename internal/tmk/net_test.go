@@ -27,7 +27,7 @@ func TestNetMigratoryCounter(t *testing.T) {
 		}
 		layout := shm.NewLayout()
 		arr := layout.Alloc("x", 2*shm.PageWords)
-		sys := New(nw, nw, layout)
+		sys := New(nw, nw, layout, Options{})
 		err = sys.Run(func(nd *Node) {
 			for it := 0; it < iters; it++ {
 				nd.Acquire(7)
@@ -86,7 +86,7 @@ func TestNetStaggeredLockChains(t *testing.T) {
 		}
 		layout := shm.NewLayout()
 		layout.Alloc("mem", total)
-		s := New(nw, nw, layout)
+		s := New(nw, nw, layout, Options{})
 		err = s.Run(func(nd *Node) {
 			for it := 0; it < iters; it++ {
 				lo := nd.ID * sectionWords

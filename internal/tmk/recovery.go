@@ -98,19 +98,6 @@ type RecoveryStats struct {
 // draining its peers into the barrier before restoring.
 const recoveryPoll = time.Microsecond
 
-// EnableRecovery arms barrier-point checkpointing (and, if cfg.Fault is
-// set, one injected failure). Must be called after New and before Run.
-// With a nil Sink, records go to a fresh in-memory sink.
-func (s *System) EnableRecovery(cfg RecoveryConfig) {
-	if cfg.Sink == nil {
-		cfg.Sink = NewMemSink()
-	}
-	s.rec = &cfg
-	for _, nd := range s.Nodes {
-		nd.recTouched = map[int]bool{}
-	}
-}
-
 // faultsNow reports whether the injected fault fires at this arrival.
 func (nd *Node) faultsNow() bool {
 	f := nd.sys.rec.Fault

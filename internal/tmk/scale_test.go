@@ -9,6 +9,7 @@ import (
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
+	"sdsm/internal/wire"
 )
 
 // TestScaleHotPageServeBalance pins the ownership directory's reason to
@@ -22,10 +23,7 @@ func TestScaleHotPageServeBalance(t *testing.T) {
 	const n = 64
 	const epochs = 4
 	runCase := func(scale bool) *System {
-		s := testSystem(n, shm.PageWords)
-		if scale {
-			s.EnableScale()
-		}
+		s := testSystemOpts(n, shm.PageWords, Options{Scale: scale})
 		run(t, s, func(nd *Node) {
 			for e := 0; e < epochs; e++ {
 				if nd.ID == e%8 { // rotate the writer: ownership must migrate
@@ -106,8 +104,7 @@ func TestScaleDirectoryDeterminism(t *testing.T) {
 	words := pages * shm.PageWords
 
 	runSim := func() [][]int {
-		s := testSystem(n, words)
-		s.EnableScale()
+		s := testSystemOpts(n, words, Options{Scale: true})
 		run(t, s, scaleHintProgram(n, pages, rounds))
 		return ownerHints(s)
 	}
@@ -136,8 +133,7 @@ func TestScaleDirectoryDeterminism(t *testing.T) {
 		nw := cluster.New(h, model.SP2())
 		layout := shm.NewLayout()
 		layout.Alloc("mem", words)
-		s := New(h, nw, layout)
-		s.EnableScale()
+		s := New(h, nw, layout, Options{Scale: true})
 		run(t, s, scaleHintProgram(n, pages, rounds))
 		if got := ownerHints(s); fmt.Sprint(got) != fmt.Sprint(simHints) {
 			t.Fatalf("real backend trial %d: post-barrier hints differ from sim:\n%v\n%v", trial, got, simHints)
@@ -219,8 +215,7 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 			}
 			layout := shm.NewLayout()
 			layout.Alloc("mem", words)
-			s := New(nw, nw, layout)
-			s.EnableScale()
+			s := New(nw, nw, layout, Options{Scale: true})
 			err = s.Run(body)
 			nw.Close()
 			if err != nil {
@@ -231,5 +226,26 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 				t.Fatalf("chase accounting out of bounds: %d hops > %d redirects issued", ps.DirHops, ps.DirRedirects)
 			}
 		})
+	}
+}
+
+// TestChaseGuardOutOfRange pins the fetch router's range check: a
+// forwarding hint naming a rank outside the machine must be dropped to
+// the Direct fallback, not turned into a request. The guard is
+// exercised directly — redirect lists are wire values, so a corrupt
+// hint can arrive however well the local directory is kept.
+func TestChaseGuardOutOfRange(t *testing.T) {
+	s := testSystemOpts(2, 4*shm.PageWords, Options{Scale: true})
+	nd := s.Nodes[0]
+	// A pending notice for page 1 makes the chase consider it; the hint
+	// names rank 99. The guard must skip it without issuing a request —
+	// if it tried, the transport would be asked for a node the host does
+	// not have and the test would die rather than fail gracefully.
+	nd.pending[1] = []notice{{owner: 1, idx: 1}}
+	before := nd.Stats.DirFallbacks
+	nd.chaseRedirects([]wire.PageOwner{{Page: 1, Owner: 99}})
+	if nd.Stats.DirFallbacks != before+1 {
+		t.Errorf("out-of-range redirect: DirFallbacks %d, want %d (hint should fall back, not route)",
+			nd.Stats.DirFallbacks, before+1)
 	}
 }

@@ -24,7 +24,7 @@ const (
 // forwards acquire requests to the last releaser. The control state lives
 // with the machine (under the protocol-section token); the grant payloads
 // are wire values. det is the lock-scope adaptive detector (nil unless
-// EnableAdapt): it shares the lock's serialization — every hand-off and
+// Options.Adapt): it shares the lock's serialization — every hand-off and
 // every holder's fetch report reach it in the lock's own total order, so
 // its decisions are a pure function of that serialized history and need
 // no cross-node negotiation (see internal/adapt's LockDetector).

@@ -20,7 +20,7 @@
 // machinery, aggregates diff fetches into one exchange per responder,
 // piggybacks fetches on synchronization (Validate_w_sync, with broadcast
 // detection at barriers), and replaces barriers by point-to-point data
-// exchanges (Push). The adaptive protocol (EnableAdapt, package adapt)
+// exchanges (Push). The adaptive protocol (Options.Adapt, package adapt)
 // recovers the push benefit at run time for accesses the compiler cannot
 // analyze, at section and sub-page granularity (DESIGN.md §6–§8).
 //
@@ -121,7 +121,7 @@ type ProtocolStats struct {
 	Invalidations int64
 	LockFetches   int64 // pages demand-fetched while holding a lock (lock faults)
 
-	// Adaptive protocol counters (EnableAdapt). Promotions, splits, joins
+	// Adaptive protocol counters (Options.Adapt). Promotions, splits, joins
 	// and decays are machine-global detector transitions, reported once (at
 	// node 0); updates, spans and pushed pages are counted at the producing
 	// node.
@@ -133,7 +133,7 @@ type ProtocolStats struct {
 	AdaptSpans       int64 // section spans shipped in update messages
 	AdaptPagesPushed int64 // page push deliveries (one per page per consumer)
 
-	// Lock-scope adaptive counters (EnableAdapt). Grants and pages are
+	// Lock-scope adaptive counters (Options.Adapt). Grants and pages are
 	// counted at the releasing node; the detector transition counters are
 	// machine-global (the per-lock detectors live with the lock control
 	// state) and are folded in by System.Stats.
@@ -147,7 +147,7 @@ type ProtocolStats struct {
 	// Ownership-directory counters (directory.go). DiffServes is
 	// maintained unconditionally — it is the serve-balance numerator the
 	// scaling table reports; the Dir* counters and the relay accounting
-	// only move in scale mode (EnableScale).
+	// only move in scale mode (Options.Scale).
 	DiffServes      int64 // diff requests answered with at least one diff payload
 	DirRedirects    int64 // diff requests answered with a forwarding hint instead
 	DirHops         int64 // forwarding hops followed while chasing redirects
@@ -168,31 +168,43 @@ type System struct {
 
 	locks    map[int]*lock
 	barriers map[int]*barrier
-	adaptCfg adapt.Config    // detector tuning; meaningful once EnableAdapt ran
-	rec      *RecoveryConfig // checkpoint/restore; nil unless EnableRecovery ran
-	trace    *obs.Machine    // observability; nil unless EnableTrace ran
-	scale    bool            // ownership directory + relay compression; EnableScale
+	adaptCfg adapt.Config    // detector tuning; meaningful with Options.Adapt
+	rec      *RecoveryConfig // checkpoint/restore; nil without Options.Recovery
+	trace    *obs.Machine    // observability; nil without Options.Trace
+	scale    bool            // ownership directory + relay compression; Options.Scale
 
 	// departScratch backs runBarrier's departure-time table. Barriers are
 	// serialized by the protocol token, so one machine-wide buffer works.
 	departScratch []time.Duration
 }
 
-// New builds a DSM system for every processor of h. All pages start
-// unmapped, as after TreadMarks initialization; the first touch of an
-// unwritten page faults once and validates it zero-filled locally,
-// without communication.
-func New(h host.Host, nw host.Transport, layout *shm.Layout) *System {
-	return NewWarm(h, nw, layout, nil)
+// Options selects the protocol modes a machine runs. Modes are fixed at
+// construction: New wires every one of them before any node runs, so no
+// caller can observe (or get wrong) the order they are switched on in.
+// The zero value is the paper's base protocol.
+type Options struct {
+	// Adapt, when non-nil, runs the adaptive update protocol with this
+	// detector tuning (adapt.go).
+	Adapt *adapt.Config
+	// Scale turns on the per-page ownership directory and the compressed
+	// barrier relay accounting (directory.go).
+	Scale bool
+	// Recovery, when non-nil, arms barrier-point checkpointing and the
+	// optional injected failure (recovery.go). A nil Sink gets a fresh
+	// in-memory sink.
+	Recovery *RecoveryConfig
+	// Trace, when non-nil, attaches an observability machine with one
+	// ring tracer per node (trace.go). The caller picks the clock domain
+	// when building it (obs.NewMachine): virtual timeline on sim, wall on
+	// real/net.
+	Trace *obs.Machine
 }
 
-// NewWarm builds a machine whose node memories borrow storage from warm
-// pool arenas — arenas[i] backs rank i; nil entries (or a nil slice, the
-// New path) fall back to heap allocation. Arena-backed storage is zeroed
-// on loan, so a warm machine's protocol behavior and results are
-// bit-identical to a fresh one's; ReleaseWarm hands the storage back
-// after the run.
-func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Arena) *System {
+// New builds a DSM system for every processor of h, running the modes
+// opts selects. All pages start unmapped, as after TreadMarks
+// initialization; the first touch of an unwritten page faults once and
+// validates it zero-filled locally, without communication.
+func New(h host.Host, nw host.Transport, layout *shm.Layout, opts Options) *System {
 	s := &System{
 		H:        h,
 		NW:       nw,
@@ -200,6 +212,18 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		Layout:   layout,
 		locks:    map[int]*lock{},
 		barriers: map[int]*barrier{},
+		trace:    opts.Trace,
+		scale:    opts.Scale,
+	}
+	if opts.Adapt != nil {
+		s.adaptCfg = *opts.Adapt
+	}
+	if opts.Recovery != nil {
+		rc := *opts.Recovery
+		if rc.Sink == nil {
+			rc.Sink = NewMemSink()
+		}
+		s.rec = &rc
 	}
 	n := h.N()
 	for i := 0; i < n; i++ {
@@ -219,11 +243,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		// Wake a peer whose body has not started yet (a first acquire of a
 		// remotely homed lock on the concurrent backends).
 		nd.p = h.Proc(i)
-		var ar *vm.Arena
-		if i < len(arenas) {
-			ar = arenas[i]
-		}
-		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, ar)
+		nd.Mem = vm.New(i, layout.Words(), s.Costs, nd)
 		pages := nd.Mem.Pages()
 		nd.applied = make([][]int32, pages)
 		for pg := range nd.applied {
@@ -241,6 +261,19 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			}
 			nd.pgScratch = pages
 			nd.srvOut, nd.srvRedir, nd.srvBytes = nd.serveDiffs(int(nd.srvReq.Req), pages, nd.srvReq.Applied, nd.srvReq.Direct)
+		}
+		if opts.Adapt != nil {
+			nd.ad = newAdaptNode(*opts.Adapt, opts.Trace != nil)
+		}
+		if opts.Scale {
+			nd.initDirectory()
+		}
+		if s.rec != nil {
+			nd.recTouched = map[int]bool{}
+		}
+		if opts.Trace != nil {
+			nd.tr = opts.Trace.Nodes[i]
+			nd.Mem.Trace = nd.tr
 		}
 		s.Nodes = append(s.Nodes, nd)
 	}
@@ -289,28 +322,6 @@ func (s *System) Run(body func(nd *Node)) error {
 	return s.H.Run(func(p host.Proc) {
 		body(s.Nodes[p.ID()])
 	})
-}
-
-// ReleaseWarm hands every node's warm-arena storage back to its pool
-// slot: directory arrays first (they are arena loans too), then the
-// Mem's data store, twins, and page freelist. Run CheckGuards on the
-// arenas BEFORE calling this — release ends the loans the audit needs.
-// A machine built without arenas ignores the call. The System must not
-// be used afterwards.
-func (s *System) ReleaseWarm() {
-	for _, nd := range s.Nodes {
-		ar := nd.Mem.Arena()
-		if ar == nil {
-			continue
-		}
-		if nd.dirOwner != nil {
-			ar.RecycleInt32(nd.dirOwner)
-			ar.RecycleInt32(nd.dirNext)
-			nd.dirOwner, nd.dirNext = nil, nil
-		}
-		nd.Mem.Release()
-		ar.ReleaseData()
-	}
 }
 
 // Stats aggregates protocol statistics across nodes.
@@ -488,7 +499,7 @@ type Node struct {
 	diffs      map[int][]*storedDiff
 	lastDiffed []int32 // per page: own modifications diffed up to this interval
 
-	// Ownership directory (directory.go); nil unless EnableScale ran.
+	// Ownership directory (directory.go); nil outside scale mode.
 	// dirOwner[pg] is this node's probable-owner hint, dirNext[pg] the
 	// node it last delegated pg's chain to (-1 for none in both).
 	dirOwner []int32
@@ -497,12 +508,12 @@ type Node struct {
 	inflight []inflightFetch    // asynchronous fetches not yet completed
 	mode     map[int]AccessType // deferred consistency action for async Validate
 	wsync    []wsyncRequest     // Validate_w_sync registrations for the next sync
-	ad       *adaptNode         // adaptive protocol state; nil unless EnableAdapt
+	ad       *adaptNode         // adaptive protocol state; nil without Options.Adapt
 	held     []heldLock         // locks currently held, innermost last
-	tr       *obs.NodeTracer    // event ring; nil unless EnableTrace (trace.go)
+	tr       *obs.NodeTracer    // event ring; nil without Options.Trace (trace.go)
 
-	// Recovery bookkeeping (recovery.go); recTouched is nil unless
-	// EnableRecovery ran. recLast is the vector clock of this node's
+	// Recovery bookkeeping (recovery.go); recTouched is nil without
+	// Options.Recovery. recLast is the vector clock of this node's
 	// previous record (nil before the first), recTouched the pages a
 	// diff was applied to since, recEpoch the record counter.
 	recLast    []int32
@@ -545,7 +556,7 @@ type Node struct {
 // critical-section working set the per-lock detector observes).
 type heldLock struct {
 	id      int
-	fetched map[int]bool // nil unless EnableAdapt
+	fetched map[int]bool // nil without Options.Adapt
 }
 
 // pushHeld records a lock acquisition on the held stack.

@@ -12,11 +12,16 @@ import (
 
 // testSystem builds an n-node DSM over `words` words of shared memory.
 func testSystem(n, words int) *System {
+	return testSystemOpts(n, words, Options{})
+}
+
+// testSystemOpts is testSystem running the modes opts selects.
+func testSystemOpts(n, words int, opts Options) *System {
 	e := sim.NewEngine(n)
 	nw := cluster.New(e, model.SP2())
 	layout := shm.NewLayout()
 	layout.Alloc("mem", words)
-	return New(e, nw, layout)
+	return New(e, nw, layout, opts)
 }
 
 func run(t *testing.T, s *System, body func(nd *Node)) {

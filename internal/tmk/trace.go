@@ -19,21 +19,6 @@ import (
 // requester's goroutine against the responder's ring; the per-node ring
 // mutex covers that.
 
-// EnableTrace attaches an observability machine: one ring tracer per node,
-// plus the vm layer's twin/diff hook. Must be called after New and before
-// Run. The caller picks the clock domain when building m (obs.NewMachine):
-// virtual timeline on sim, wall on real/net.
-func (s *System) EnableTrace(m *obs.Machine) {
-	s.trace = m
-	for i, nd := range s.Nodes {
-		nd.tr = m.Nodes[i]
-		nd.Mem.Trace = m.Nodes[i]
-		if nd.ad != nil {
-			nd.ad.det.LogTrans = true
-		}
-	}
-}
-
 // traceFault closes a fault-service span opened at Fault entry (the start
 // stamps are the deferred call's arguments, evaluated at entry).
 func (nd *Node) traceFault(page int, acc vm.Access, vt time.Duration, wt int64) {

@@ -127,68 +127,28 @@ type Mem struct {
 	// needs no synchronization.
 	free [][]float64
 
-	// arena, when non-nil, is the warm pool slot this Mem borrowed its
-	// storage from (NewWarm). Page buffers the freelist misses come from
-	// the arena, and Release hands everything back for the next job.
-	arena *Arena
-
 	// Counters is exported for the statistics harness.
 	Counters Counters
 
 	// Trace, when non-nil, receives twin/diff events (EvTwin, EvDiff). Set
-	// by the protocol layer's EnableTrace; nil means tracing is off and the
+	// by the protocol layer's Options.Trace; nil means tracing is off and the
 	// MMU's behavior (charges, counters, allocations) is byte-identical.
 	Trace *obs.NodeTracer
 }
 
 // New creates a node memory of the given size with all pages NoAccess.
 func New(node int, words int, costs model.Costs, handler FaultHandler) *Mem {
-	return NewWarm(node, words, costs, handler, nil)
-}
-
-// NewWarm creates a node memory backed by a warm arena's recycled
-// storage. The data store comes zeroed from the arena (observably
-// identical to make), so a warm run's memory contents are bit-identical
-// to a fresh run's. A nil arena gives a plain heap-backed Mem — New is
-// exactly NewWarm with nil.
-func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena *Arena) *Mem {
 	pages := (words + shm.PageWords - 1) / shm.PageWords
-	data := make([]float64, pages*shm.PageWords)
-	if arena != nil {
-		data = arena.TakeData(pages * shm.PageWords)
-	}
 	return &Mem{
 		Node:    node,
 		costs:   costs,
-		data:    data,
+		data:    make([]float64, pages*shm.PageWords),
 		prot:    make([]Prot, pages),
 		twins:   map[int][]float64{},
 		extLo:   make([]int16, pages),
 		extHi:   make([]int16, pages),
 		handler: handler,
-		arena:   arena,
 	}
-}
-
-// Arena returns the warm arena backing this Mem, or nil for a
-// heap-backed one.
-func (m *Mem) Arena() *Arena { return m.arena }
-
-// Release hands the Mem's reusable storage — live twins and the page
-// freelist — back to its arena and drops the references, ending the
-// job's loan of the data store. A heap-backed Mem ignores Release. The
-// Mem must not be used afterwards.
-func (m *Mem) Release() {
-	if m.arena == nil {
-		return
-	}
-	for pg, tw := range m.twins {
-		delete(m.twins, pg)
-		m.free = append(m.free, tw)
-	}
-	m.arena.RecyclePages(m.free)
-	m.free = nil
-	m.data = nil
 }
 
 // Pages returns the number of pages in the address space.
@@ -279,7 +239,7 @@ func (m *Mem) FlushProtBatch(p host.Proc) {
 // SetProtInit changes protection without cost, for pre-run initialization.
 func (m *Mem) SetProtInit(page int, prot Prot) { m.prot[page] = prot }
 
-// WipeForRestore resets the arena to its initial state — all pages
+// WipeForRestore resets the memory to its initial state — all pages
 // zeroed and NoAccess, twins recycled, write extents cleared — without
 // cost or counting, for checkpoint restore. Any protection changes
 // batched but not yet flushed are discarded: the restore supersedes
@@ -415,19 +375,15 @@ func (m *Mem) HasTwin(page int) bool {
 	return ok
 }
 
-// getPage returns a page-sized buffer from the freelist, the warm arena,
-// or a fresh allocation. Arena buffers are not zeroed; every consumer
-// fully overwrites the buffer before reading it, same as the intra-run
-// freelist.
+// getPage returns a page-sized buffer from the freelist or a fresh
+// allocation. Freelist buffers are not zeroed; every consumer fully
+// overwrites the buffer before reading it.
 func (m *Mem) getPage() []float64 {
 	if n := len(m.free); n > 0 {
 		pg := m.free[n-1]
 		m.free[n-1] = nil
 		m.free = m.free[:n-1]
 		return pg
-	}
-	if m.arena != nil {
-		return m.arena.TakePage(shm.PageWords)
 	}
 	return make([]float64, shm.PageWords)
 }

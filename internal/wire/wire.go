@@ -46,7 +46,7 @@ import "fmt"
 // version 8 added the service control plane — the job frames (FJob,
 // FJobAccept, FJobReject, FJobState, FJobResult, FPoolHello) and their
 // payloads (JobSpec, JobDecision, JobProgress, JobResult) that carry
-// multi-job traffic between clients, the coordinator, and warm pool
+// multi-job traffic between clients, the coordinator, and pool
 // daemons (internal/svc, DESIGN.md §13).
 const Version = 8
 
@@ -98,7 +98,7 @@ const (
 	// FJobResult reports a finished job (payload JobResult): pool daemon →
 	// coordinator → client.
 	FJobResult
-	// FPoolHello attaches a warm pool daemon to the coordinator
+	// FPoolHello attaches a pool daemon to the coordinator
 	// (daemon → coordinator): From is unused, Tag carries the daemon's
 	// rank-slot capacity, and there is no payload.
 	FPoolHello
