@@ -87,8 +87,8 @@ func benchConfigs(procs int) []Config {
 	}
 	// Scaling pin (DESIGN.md §12): tsps at 32 nodes with the ownership
 	// directory and span-compressed relay on, under the "tmk-scale32"
-	// label. The directory rebuilds from the full notice log at every
-	// barrier departure (resetDirectory), so this entry tracks that
+	// label. Every barrier departure folds the epoch's new intervals into
+	// the directory (resetDirectory), so this entry tracks that
 	// bookkeeping's allocation and wall cost along with the virtual time
 	// of directory-routed fetching at a size the 8-node grid never sees.
 	if a, err := apps.ByName("tsps"); err == nil {

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"fmt"
 	"testing"
 
 	"sdsm/internal/shm"
@@ -96,6 +97,55 @@ func BenchmarkWriteNoticeEncode(b *testing.B) {
 		w := iv.toWire()
 		if len(w.Pages) != 64 {
 			b.Fatal("bad encode")
+		}
+	}
+}
+
+// syntheticScaleNode returns node 0 of an n-node scale machine whose
+// interval log already holds `epochs` barrier epochs of a rotating-writer
+// program: in epoch e every owner o closes one interval writing the
+// four-page block (o+e) mod n, knowing every interval up to epoch e. The
+// epoch base sits one epoch back, so resetDirectory folds the last one.
+func syntheticScaleNode(n, epochs int) *Node {
+	const block = 4
+	s := testSystemOpts(n, block*n*shm.PageWords, Options{Scale: true})
+	nd := s.Nodes[0]
+	for e := 1; e <= epochs; e++ {
+		vc := make([]int32, n)
+		for o := range vc {
+			vc[o] = int32(e)
+		}
+		for o := 0; o < n; o++ {
+			iv := interval{vc: vc}
+			for k := 0; k < block; k++ {
+				pg := block*((o+e)%n) + k
+				iv.pages = append(iv.pages, wire.PageRef{Page: int32(pg), Whole: true})
+			}
+			nd.know[o] = append(nd.know[o], iv)
+		}
+	}
+	for o := 0; o < n; o++ {
+		nd.vc[o] = int32(epochs)
+		nd.lastBar[o] = int32(epochs - 1)
+	}
+	return nd
+}
+
+// BenchmarkResetDirectory measures the scale directory's barrier-departure
+// step at 32 and 128 nodes over a short and a long interval log. Its cost
+// should track the epoch's delta and the page count, not the log length.
+func BenchmarkResetDirectory(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		for _, epochs := range []int{10, 1000} {
+			b.Run(fmt.Sprintf("n%d/log%d", n, epochs), func(b *testing.B) {
+				nd := syntheticScaleNode(n, epochs)
+				nd.resetDirectory()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					nd.resetDirectory()
+				}
+			})
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package tmk
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"sdsm/internal/wire"
 )
@@ -43,27 +45,39 @@ import (
 //
 // Determinism: mid-epoch hints depend on serve order, which the
 // concurrent backends do not reproduce. At every barrier departure
-// resetDirectory rebuilds both arrays from the merged notice set alone —
-// identical at every node and on every backend — so the post-barrier
-// directory state is a pure function of relayed observations, the same
-// replicated-decision rule the adaptive layer follows (package-comment
-// invariant four). Memory content never depends on the directory at all;
-// routing only picks who serves an identical chain.
+// resetDirectory overwrites both arrays with a per-page winner that is a
+// pure function of the merged notice set — identical at every node and
+// on every backend — so the post-barrier directory state is a pure
+// function of relayed observations, the same replicated-decision rule
+// the adaptive layer follows (package-comment invariant four). The
+// winner is kept incrementally: each departure folds in only the epoch's
+// new intervals, because causality freezes every older winner
+// (foldDirectory), so the per-barrier cost tracks what the barrier
+// changed rather than how long the run has been going. Memory content
+// never depends on the directory at all; routing only picks who serves
+// an identical chain.
 
 // initDirectory gives a node its empty ownership directory. Scale mode
 // (Options.Scale) is the directory above plus span-compressed,
 // broadcast-once accounting for the barrier fetch-list relay (see
 // relayFetchedBytes and runBarrier). Off, the protocol and its
 // accounting are bit-identical to a machine without the directory — the
-// paper tables and the adapt goldens pin that. Both arrays start at -1
-// (no hint, no delegation), not 0: 0 is a valid rank.
+// paper tables and the adapt goldens pin that. All three arrays start at
+// -1 (no hint, no delegation, no winner), not 0: 0 is a valid rank.
 func (nd *Node) initDirectory() {
 	pages := nd.Mem.Pages()
 	nd.dirOwner = make([]int32, pages)
 	nd.dirNext = make([]int32, pages)
-	for pg := 0; pg < pages; pg++ {
+	nd.dirWin = make([]int32, pages)
+	nd.clearDirectory()
+}
+
+// clearDirectory drops every hint, delegation and post-barrier winner.
+func (nd *Node) clearDirectory() {
+	for pg := range nd.dirOwner {
 		nd.dirOwner[pg] = -1
 		nd.dirNext[pg] = -1
+		nd.dirWin[pg] = -1
 	}
 }
 
@@ -72,7 +86,7 @@ func (s *System) ScaleOn() bool { return s.scale }
 
 // OwnerHint returns a node's current probable-owner hint for a page (-1
 // unknown). Deterministic across backends only at barrier points, where
-// resetDirectory has rebuilt the directory from the merged notice set.
+// resetDirectory has set the directory from the merged notice set.
 func (nd *Node) OwnerHint(pg int) int {
 	if nd.dirOwner == nil {
 		return -1
@@ -169,18 +183,39 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 	}
 }
 
-// resetDirectory rebuilds the node's directory at a barrier departure as
-// a pure function of the merged notice set: every hint is cleared, then
-// each page written in any interval the machine now knows about points
-// at the interval with the causally latest closing time. All nodes hold
-// identical notice sets after a departure, so every replica computes the
-// same directory. Called before lastBar advances; it walks the full log,
-// not just the epoch's delta, so pages untouched this epoch still get
-// deterministic hints rather than retaining schedule-dependent mid-epoch
-// values.
+// resetDirectory sets the node's directory at a barrier departure to a
+// pure function of the merged notice set: every delegation is cleared and
+// every hint becomes its page's post-barrier winner — among the writes
+// the machine now knows about, the one with the causally latest closing
+// time (-1 for a page never written). All nodes hold identical notice
+// sets after a departure, so every replica computes the same directory,
+// and pages untouched this epoch get that deterministic winner back
+// rather than retaining schedule-dependent mid-epoch values. Called
+// before lastBar advances, so the epoch's new intervals are exactly
+// (lastBar, vc] — the delta adaptStep walks — and only they are folded
+// into the persistent winner map dirWin (foldDirectory).
+func (nd *Node) resetDirectory() {
+	nd.foldDirectory(nd.lastBar, nd.vc)
+	copy(nd.dirOwner, nd.dirWin)
+	for pg := range nd.dirNext {
+		nd.dirNext[pg] = -1
+	}
+}
+
+// dirCand is one write candidate of a directory fold: owner's interval
+// idx, closed at vector time vc, wrote page.
+type dirCand struct {
+	page, owner, idx int32
+	vc               []int32
+}
+
+// foldDirectory folds the intervals (from[o], to[o]] of every owner o
+// into dirWin as one batch. resetDirectory folds each epoch's delta;
+// restore folds the restored log once from zero, and a single batch over
+// the whole log is the winner rule applied from scratch.
 //
-// The decision must also be identical across BACKENDS, and the raw
-// interval log is not: serve-path splits (splitInterval) appear at
+// The decision must be identical across BACKENDS, and the raw interval
+// log is not: serve-path splits (splitInterval) appear at
 // schedule-dependent chain positions, and a twin-based page that stays
 // dirty across a close is re-noticed with an empty extent — whether that
 // happens depends on when the invalidate-path flush raced the close. Two
@@ -191,24 +226,29 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 // ref per genuine (writer, epoch, page) write — the same set on every
 // backend. The winner among a page's candidates is the causally latest:
 // each candidate is keyed by how many of the page's candidates its
-// closing time knows (iv.vc[c] ≥ candidate index — a comparison whose
-// outcome only depends on the barrier structure, not on how splits and
+// closing time knows (c.vc[d.owner] ≥ d.idx — a comparison whose outcome
+// only depends on the barrier structure, not on how splits and
 // re-notices inflate either side's chain). Ties — concurrent writers of
-// a falsely shared page — break on the larger creator id.
-func (nd *Node) resetDirectory() {
-	for pg := range nd.dirOwner {
-		nd.dirOwner[pg] = -1
-		nd.dirNext[pg] = -1
-	}
-	type cand struct {
-		owner int
-		idx   int32
-		vc    []int32
-	}
-	// Candidate order is (owner asc, epoch asc) — identical everywhere.
-	cands := map[int][]cand{}
-	for o := range nd.vc {
-		for idx := int32(1); idx <= nd.vc[o]; idx++ {
+// a falsely shared page — break on the larger owner id. Two candidates
+// of one owner never tie (the later knows the earlier), so the winner is
+// independent of candidate order.
+//
+// Folding only the delta is exact. Every candidate in a departure's
+// delta was closed by its owner after that owner left the previous
+// barrier, so its closing time dominates the previous departure's merged
+// vector time: it knows every older candidate, while no older candidate
+// knows it. Keyed over the whole log, each new candidate therefore
+// scores the number of the page's older candidates plus its in-batch
+// key, and every older candidate at most that number — below any new
+// one.
+// So a page with candidates in the batch takes its winner from the batch
+// alone, ordered by the in-batch key, and a page without keeps its
+// previous winner. Per-barrier cost is the epoch delta plus the page
+// count, however long the log has grown.
+func (nd *Node) foldDirectory(from, to []int32) {
+	cs := nd.dirCands[:0]
+	for o := range to {
+		for idx := from[o] + 1; idx <= to[o]; idx++ {
 			iv := nd.know[o][idx-1]
 			if iv.split {
 				continue
@@ -217,25 +257,32 @@ func (nd *Node) resetDirectory() {
 				if !ref.Whole && ref.ExtHi == 0 {
 					continue // dirty-persist re-notice: no new write fact
 				}
-				pg := int(ref.Page)
-				cands[pg] = append(cands[pg], cand{owner: o, idx: idx, vc: iv.vc})
+				cs = append(cs, dirCand{page: ref.Page, owner: int32(o), idx: idx, vc: iv.vc})
 			}
 		}
 	}
-	for pg, cs := range cands {
-		best, bestKey := 0, -1
-		for i, c := range cs {
+	nd.dirCands = cs
+	slices.SortFunc(cs, func(a, b dirCand) int { return cmp.Compare(a.page, b.page) })
+	for lo := 0; lo < len(cs); {
+		hi := lo + 1
+		for hi < len(cs) && cs[hi].page == cs[lo].page {
+			hi++
+		}
+		batch := cs[lo:hi]
+		best, bestKey := int32(-1), -1
+		for _, c := range batch {
 			key := 0
-			for _, d := range cs {
+			for _, d := range batch {
 				if c.vc[d.owner] >= d.idx {
 					key++
 				}
 			}
-			if key > bestKey || (key == bestKey && c.owner > cs[best].owner) {
-				best, bestKey = i, key
+			if key > bestKey || (key == bestKey && c.owner > best) {
+				best, bestKey = c.owner, key
 			}
 		}
-		nd.dirOwner[pg] = int32(cs[best].owner)
+		nd.dirWin[cs[lo].page] = best
+		lo = hi
 	}
 }
 

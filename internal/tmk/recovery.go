@@ -34,7 +34,8 @@ import (
 // record plus the incremental records after it. Page content, twin,
 // applied timestamps, protections, dirty flag, and diff chain come
 // from the newest frame per page; pending write notices are recomputed
-// from the restored interval log against the restored applied rows.
+// from the restored interval log against the restored applied rows;
+// the directory's post-barrier winners are refolded from the same log.
 // The twin and the diff cache are checkpointed verbatim rather than
 // resynthesized from the restored content because both encode word-
 // granular history the content alone cannot recover: the twin's delta
@@ -337,10 +338,7 @@ func (nd *Node) wipe() {
 	clear(nd.dirty)
 	clear(nd.noTwin)
 	nd.inflight = nd.inflight[:0]
-	for pg := range nd.dirOwner {
-		nd.dirOwner[pg] = -1
-		nd.dirNext[pg] = -1
-	}
+	nd.clearDirectory()
 }
 
 // restore replays the node's record chain from the sink. See the file
@@ -436,14 +434,19 @@ func (nd *Node) restore() {
 		}
 	}
 	if nd.dirOwner != nil {
-		// wipe reset both directory arrays; the newest record carries the
+		// wipe reset the directory arrays; the newest record carries the
 		// complete probable-owner map, so no merge across the chain. The
 		// delegation pointers (dirNext) restart empty — they are routing
 		// hints whose loss only costs the first post-restore requester a
-		// payload serve from this node instead of a redirect.
+		// payload serve from this node instead of a redirect. The
+		// post-barrier winners are refolded from the restored log up to
+		// the last departure in one batch, which is the winner rule
+		// applied from scratch (foldDirectory); the next departure folds
+		// its delta on top as usual.
 		for _, po := range last.Owners {
 			nd.dirOwner[po.Page] = po.Owner
 		}
+		nd.foldDirectory(make([]int32, s.N()), nd.lastBar)
 	}
 	nd.recLast = append([]int32(nil), last.VC...)
 	nd.recEpoch = last.Epoch

@@ -146,8 +146,10 @@ func TestScaleDirectoryDeterminism(t *testing.T) {
 // random schedule whose per-round disjoint write partitions rotate so
 // page ownership keeps moving. Every node's reads are checked against a
 // golden replay, and the directory's chase accounting must stay bounded
-// (every forwarding hop consumes at least one issued redirect). Run
-// under -race in CI.
+// (every forwarding hop consumes at least one issued redirect). Every
+// seed's post-run directory must also equal the full-log rebuild
+// (assertOracleDirectory): the wire backend's serve order is the least
+// reproducible of the three. Run under -race in CI.
 func TestScaleRandomMigrationNet(t *testing.T) {
 	const (
 		n      = 16
@@ -225,6 +227,7 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 			if ps.DirHops > ps.DirRedirects {
 				t.Fatalf("chase accounting out of bounds: %d hops > %d redirects issued", ps.DirHops, ps.DirRedirects)
 			}
+			assertOracleDirectory(t, s)
 		})
 	}
 }

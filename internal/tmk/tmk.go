@@ -419,7 +419,7 @@ type interval struct {
 	vc    []int32
 	// split marks a mid-epoch serve-path split (splitInterval): its
 	// position in the chain is schedule-dependent, so the ownership
-	// directory's replicated reset skips it (resetDirectory).
+	// directory's replicated fold skips it (foldDirectory).
 	split bool
 }
 
@@ -502,8 +502,13 @@ type Node struct {
 	// Ownership directory (directory.go); nil outside scale mode.
 	// dirOwner[pg] is this node's probable-owner hint, dirNext[pg] the
 	// node it last delegated pg's chain to (-1 for none in both).
+	// dirWin[pg] is the page's post-barrier winner as of the last
+	// departure, folded forward one epoch delta at a time; dirCands is
+	// the fold's reusable candidate buffer.
 	dirOwner []int32
 	dirNext  []int32
+	dirWin   []int32
+	dirCands []dirCand
 
 	inflight []inflightFetch    // asynchronous fetches not yet completed
 	mode     map[int]AccessType // deferred consistency action for async Validate
